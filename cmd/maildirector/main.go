@@ -218,7 +218,7 @@ func main() {
 		if mtrace != nil {
 			adminOpts = append(adminOpts, admin.WithTrace(mtrace))
 		}
-		handler := admin.NewHandler(reg, trace.NewSpanRecorder(1024), adminOpts...)
+		handler := admin.NewHandler(reg, nil, adminOpts...)
 		go http.Serve(adminLn, handler) //nolint:errcheck // dies with the process
 		events.Info("director.start", 0,
 			eventlog.Str("component", "admin"), eventlog.Str("addr", adminLn.Addr().String()))

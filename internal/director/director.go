@@ -1,17 +1,16 @@
 package director
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/smtp"
+	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
 
@@ -27,8 +26,6 @@ type settings struct {
 	forwardTimeout time.Duration
 	vnodes         int
 	cooldown       time.Duration
-	maxRcpts       int
-	maxMessage     int
 	mtrace         *trace.MessageRecorder
 }
 
@@ -71,8 +68,9 @@ func WithRegistry(r *metrics.Registry) Option {
 	return func(s *settings) { s.registry = r }
 }
 
-// WithEventLog emits director.conn / director.forward / director.shard
-// events into log (default off).
+// WithEventLog emits the client-facing server's smtpd.conn and
+// smtpd.policy events and the director's own director.forward /
+// director.skew / director.shard events into log (default off).
 func WithEventLog(log *eventlog.Log) Option {
 	return func(s *settings) { s.events = log }
 }
@@ -99,67 +97,65 @@ func WithCooldown(d time.Duration) Option {
 	return func(s *settings) { s.cooldown = d }
 }
 
-// WithMaxRcpts caps accepted recipients per mail (default smtp's 50).
-func WithMaxRcpts(n int) Option {
-	return func(s *settings) { s.maxRcpts = n }
-}
-
 // WithMessageTracer enables message-lifecycle tracing at the director:
-// the edge of the tier mints each sampled mail's trace id, records a
-// "pretrust" span per client dialog and a "forward" span per shard
-// replay, and propagates the context to XTRACE-capable shards as a MAIL
-// parameter so their spans stitch into the same trace. Nil disables
-// (the default); sampled-out connections carry the zero context and
-// cost no allocations.
+// the edge of the tier mints each sampled connection's trace id (the
+// client-facing server records its "smtp" span per mail), the director
+// records a "pretrust" span per envelope replay with a "forward" span
+// per shard attempt under it, and propagates the context to
+// XTRACE-capable shards as a MAIL parameter so their spans stitch into
+// the same trace. Nil disables (the default); sampled-out connections
+// carry the zero context and cost no allocations.
 func WithMessageTracer(rec *trace.MessageRecorder) Option {
 	return func(s *settings) { s.mtrace = rec }
 }
 
-// Stats is a snapshot of a director's counters.
+// Stats is a snapshot of a director's counters: the client-facing
+// server's (connections, policy verdicts, 550s, handoffs, pre-trust
+// closes) plus the forwarding sink's.
 type Stats struct {
-	Connections    int64 // accepted TCP connections
-	PolicyRejected int64 // refused 554 at connect time
-	PolicyTempfail int64 // refused 421 at connect time
+	smtpserver.Stats
 	MailsForwarded int64 // envelopes replayed to a shard successfully
 	MailsFailed    int64 // envelopes tempfailed 451 (every candidate down)
 	MailsRefused   int64 // envelopes 554'd (shards refused every recipient)
 	ForwardRetries int64 // pooled-connection retries + candidate failovers
-	RcptRejected   int64 // 550s issued (bounce evidence)
 	RcptSkew       int64 // recipients the director admitted but a shard refused
-	PreTrustClosed int64 // connections finished without a forwarded mail
 }
 
-// Server is one director front end. Create with New, start with Serve,
-// stop with Close.
+// Server is one director front end: an smtpserver (the paper's hybrid
+// fork-after-trust server) whose enqueue sink replays each accepted
+// envelope to the delivery shards owning its recipients. Create with
+// New, start with Serve, stop with Close.
 type Server struct {
 	cfg  settings
+	srv  *smtpserver.Server
 	ring *Ring
-	bmu  sync.Mutex
 	bk   map[string]*backend
 
-	ln     net.Listener
-	connWG sync.WaitGroup
-	closed chan struct{}
-	ids    uint64
-	idsMu  sync.Mutex
-
 	reg            *metrics.Registry
-	connections    *metrics.Counter
-	policyRejected *metrics.Counter
-	policyTempfail *metrics.Counter
 	mailsForwarded *metrics.Counter
 	mailsFailed    *metrics.Counter
 	mailsRefused   *metrics.Counter
 	forwardRetries *metrics.Counter
-	rcptRejected   *metrics.Counter
 	rcptSkew       *metrics.Counter
-	preTrustClosed *metrics.Counter
 	shardDown      *metrics.Counter
 	traceStitched  *metrics.Counter
 	handoff        *metrics.Histogram // per-envelope replay wall time
 	perShard       map[string]*metrics.Counter
 	forwardSec     map[string]*metrics.Histogram // per-shard replay wall time
 }
+
+// The forwarding sink's failures carry the reply the client gets at
+// end of data; smtpserver writes it verbatim.
+var (
+	errShardsDown = &smtp.UnexpectedReplyError{Op: "forward",
+		Reply: smtp.Reply{Code: 451, Text: "delivery shards unavailable, try again later"}}
+	// Every shard answered and cleanly refused every recipient: a
+	// permanent recipient problem, not an outage. Acking would drop the
+	// mail silently and a retry cannot help — fail the transaction for
+	// good.
+	errAllRefused = &smtp.UnexpectedReplyError{Op: "forward",
+		Reply: smtp.Reply{Code: 554, Text: "all recipients refused by delivery shards"}}
+)
 
 // New builds a director over at least one backend shard.
 func New(opts ...Option) (*Server, error) {
@@ -183,18 +179,12 @@ func New(opts ...Option) (*Server, error) {
 		cfg:            st,
 		ring:           NewRing(st.vnodes),
 		bk:             make(map[string]*backend, len(st.backends)),
-		closed:         make(chan struct{}),
 		reg:            reg,
-		connections:    reg.Counter("director_connections_total"),
-		policyRejected: reg.Counter("director_policy_rejected_total"),
-		policyTempfail: reg.Counter("director_policy_tempfail_total"),
 		mailsForwarded: reg.Counter("director_mails_forwarded_total"),
 		mailsFailed:    reg.Counter("director_mails_failed_total"),
 		mailsRefused:   reg.Counter("director_mails_refused_total"),
 		forwardRetries: reg.Counter("director_forward_retries_total"),
-		rcptRejected:   reg.Counter("director_rcpt_rejected_total"),
 		rcptSkew:       reg.Counter("director_rcpt_skew_total"),
-		preTrustClosed: reg.Counter("director_pretrust_closed_total"),
 		shardDown:      reg.Counter("director_shard_down_total"),
 		traceStitched:  reg.Counter("director_trace_stitched_total"),
 		handoff:        reg.Histogram("director_handoff_seconds", metrics.LatencyBounds()),
@@ -210,10 +200,25 @@ func New(opts ...Option) (*Server, error) {
 		s.perShard[spec.name] = reg.Counter("director_shard_forwarded_total", "shard", spec.name)
 		s.forwardSec[spec.name] = reg.Histogram("director_forward_seconds", metrics.LatencyBounds(), "shard", spec.name)
 	}
+	srv, err := smtpserver.New(nil,
+		smtpserver.WithHostname(st.hostname),
+		smtpserver.WithPolicy(st.pol),
+		smtpserver.WithValidateRcpt(st.validateRcpt),
+		smtpserver.WithIdleTimeout(st.idleTimeout),
+		smtpserver.WithRegistry(reg),
+		smtpserver.WithEventLog(st.events),
+		smtpserver.WithMessageTracer(st.mtrace),
+		smtpserver.WithEnqueueTraced(s.forward),
+	)
+	if err != nil {
+		return nil, err
+	}
+	s.srv = srv
 	return s, nil
 }
 
-// Registry returns the registry holding the director's metrics.
+// Registry returns the registry holding the director's metrics, the
+// client-facing server's smtpd_* series included.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Ring returns the recipient ring, for observability and tests.
@@ -222,16 +227,12 @@ func (s *Server) Ring() *Ring { return s.ring }
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Connections:    s.connections.Value(),
-		PolicyRejected: s.policyRejected.Value(),
-		PolicyTempfail: s.policyTempfail.Value(),
+		Stats:          s.srv.Stats(),
 		MailsForwarded: s.mailsForwarded.Value(),
 		MailsFailed:    s.mailsFailed.Value(),
 		MailsRefused:   s.mailsRefused.Value(),
 		ForwardRetries: s.forwardRetries.Value(),
-		RcptRejected:   s.rcptRejected.Value(),
 		RcptSkew:       s.rcptSkew.Value(),
-		PreTrustClosed: s.preTrustClosed.Value(),
 	}
 }
 
@@ -239,261 +240,49 @@ func (s *Server) Stats() Stats {
 // in seconds.
 func (s *Server) HandoffQuantile(q float64) float64 { return s.handoff.Quantile(q) }
 
-// Serve accepts connections on ln until Close. It owns ln.
-func (s *Server) Serve(ln net.Listener) {
-	s.ln = ln
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			continue
-		}
-		s.connWG.Add(1)
-		go s.serveConn(nc)
-	}
-}
+// Serve accepts client connections on ln until Close. It owns ln.
+func (s *Server) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 
-// Close stops accepting, waits for in-flight dialogs, and drains the
-// back-end connection pools.
+// Close stops accepting, closes live client connections, waits for the
+// server's goroutines, and drains the back-end connection pools.
 func (s *Server) Close() {
-	select {
-	case <-s.closed:
-		return
-	default:
-	}
-	close(s.closed)
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.connWG.Wait()
+	s.srv.Close() //nolint:errcheck // a second Close only reports it
 	for _, b := range s.bk {
 		b.closeIdle()
 	}
 }
 
-func (s *Server) nextID() uint64 {
-	s.idsMu.Lock()
-	defer s.idsMu.Unlock()
-	s.ids++
-	return s.ids
-}
-
-// remoteIP extracts the peer IP.
-func remoteIP(nc net.Conn) string {
-	a := nc.RemoteAddr()
-	if a == nil {
-		return ""
-	}
-	host, _, err := net.SplitHostPort(a.String())
-	if err != nil {
-		return a.String()
-	}
-	return host
-}
-
-// serveConn runs one client dialog: admission, pre-trust SMTP, and
-// per-mail replay to the owning shard.
-func (s *Server) serveConn(nc net.Conn) {
-	defer s.connWG.Done()
-	defer nc.Close()
-	id := s.nextID()
-	s.connections.Inc()
-	ip := remoteIP(nc)
-	c := smtp.AcquireConn(nc)
-	defer smtp.ReleaseConn(c)
-
-	if !s.admitPolicy(nc, c, id, ip) {
-		return
-	}
-
-	sess := smtp.AcquireSession(s.sessionConfig(ip))
-	defer smtp.ReleaseSession(sess)
-	// The director is the trace edge: the id minted here follows the
-	// mail through every shard and queue it crosses. The pretrust span
-	// covers the whole client dialog; forward spans nest per replay.
-	tc := s.cfg.mtrace.Mint()
-	preStart := time.Now()
-	if err := c.WriteReply(sess.Greeting()); err != nil {
-		return
-	}
-	forwarded := s.runDialog(nc, c, sess, ip, id, tc)
-	psp := s.cfg.mtrace.NewSpan(tc)
-	s.cfg.mtrace.FinishAt(psp, trace.MStagePretrust, preStart, time.Now(), "director")
-	if forwarded == 0 {
-		s.preTrustClosed.Inc()
-		// A connection that drew 550s and forwarded nothing is the §4.1
-		// bounce: feed it back so the next visit is refused at connect.
-		if s.cfg.pol != nil && sess.RejectedRcpts() > 0 {
-			s.cfg.pol.RecordBounce(ip)
-		}
-	}
-	s.cfg.events.Debug("director.conn", id,
-		eventlog.Str("ip", ip),
-		eventlog.Int("forwarded", int64(forwarded)),
-	)
-}
-
-// admitPolicy runs the connect-time verdict; false means a refusal has
-// been written.
-func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, ip string) bool {
-	if s.cfg.pol == nil {
-		return true
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.idleTimeout)
-	defer cancel()
-	d := s.cfg.pol.Connect(ctx, ip)
-	switch d.Verdict {
-	case policy.Reject:
-		s.policyRejected.Inc()
-		c.WriteReply(smtp.Reply{Code: 554, Text: d.Reason}) //nolint:errcheck // closing anyway
-		return false
-	case policy.Tempfail:
-		s.policyTempfail.Inc()
-		c.WriteReply(smtp.Reply{Code: 421, Text: d.Reason}) //nolint:errcheck // closing anyway
-		return false
-	default:
-		return true
-	}
-}
-
-// sessionConfig wires the policy hooks into the session state machine,
-// mirroring smtpserver so both tiers speak identical SMTP.
-func (s *Server) sessionConfig(ip string) smtp.Config {
-	cfg := smtp.Config{
-		Hostname:        s.cfg.hostname,
-		ValidateRcpt:    s.cfg.validateRcpt,
-		MaxRcpts:        s.cfg.maxRcpts,
-		MaxMessageBytes: s.cfg.maxMessage,
-	}
-	if p := s.cfg.pol; p != nil {
-		cfg.CheckMail = func(sender string) *smtp.Reply {
-			return policyReply(p.Mail(context.Background(), ip, sender))
-		}
-		cfg.CheckRcpt = func(sender, rcpt string) *smtp.Reply {
-			return policyReply(p.Rcpt(context.Background(), ip, sender, rcpt))
-		}
-	}
-	return cfg
-}
-
-func policyReply(d policy.Decision) *smtp.Reply {
-	switch d.Verdict {
-	case policy.Reject:
-		return &smtp.Reply{Code: 554, Text: d.Reason}
-	case policy.Tempfail:
-		return &smtp.Reply{Code: 450, Text: d.Reason}
-	default:
-		return nil
-	}
-}
-
-// runDialog drives the client session until QUIT or drop, replaying
-// each completed envelope to its shards. Returns envelopes forwarded.
-// connTC is the connection's minted trace context; a context arriving
-// on the wire as an XTRACE MAIL parameter (a director upstream of this
-// one) takes precedence, so chained tiers share one trace.
-func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, ip string, id uint64, connTC trace.Context) int {
-	forwarded := 0
-	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
-			return forwarded
-		}
-		line, err := c.ReadLine()
-		if err != nil {
-			if errors.Is(err, smtp.ErrLineTooLong) {
-				if c.WriteReply(smtp.ReplyLineTooLong) == nil {
-					continue
-				}
-			}
-			return forwarded
-		}
-		reply, action := sess.CommandBytes(line)
-		if reply.Code == smtp.ReplyUserUnknown.Code {
-			s.rcptRejected.Inc()
-			if s.cfg.pol != nil {
-				s.cfg.pol.RecordRejectedRcpt(ip)
-			}
-		}
-		switch action {
-		case smtp.ActionData:
-			if err := c.WriteReply(reply); err != nil {
-				return forwarded
-			}
-			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
-				return forwarded
-			}
-			body, err := c.ReadData(sess.MaxMessageBytes())
-			if err != nil {
-				if errors.Is(err, smtp.ErrMessageTooBig) {
-					if c.WriteReply(sess.AbortData()) == nil {
-						continue
-					}
-				}
-				return forwarded
-			}
-			env, done := sess.FinishData(body)
-			base := env.Trace
-			if !base.Valid() {
-				base = connTC
-			}
-			accepted, ok := s.deliver(env, id, base)
-			switch {
-			case !ok:
-				s.mailsFailed.Inc()
-				done = smtp.Reply{Code: 451, Text: "delivery shards unavailable, try again later"}
-			case accepted == 0:
-				// Every shard answered and cleanly refused every
-				// recipient: a permanent recipient problem, not an
-				// outage. Acking would drop the mail silently and a
-				// retry cannot help — fail the transaction for good.
-				s.mailsRefused.Inc()
-				done = smtp.Reply{Code: 554, Text: "all recipients refused by delivery shards"}
-			default:
-				forwarded++
-			}
-			if err := c.WriteReply(done); err != nil {
-				return forwarded
-			}
-		case smtp.ActionQuit:
-			c.WriteReply(reply) //nolint:errcheck // closing anyway
-			return forwarded
-		default:
-			if c.InputPending() {
-				if err := c.WriteReplyLazy(reply); err != nil {
-					return forwarded
-				}
-			} else if err := c.WriteReply(reply); err != nil {
-				return forwarded
-			}
-		}
-	}
-}
-
-// deliver fans one accepted envelope out to the shards owning its
-// recipients (usually one). The whole replay is timed as the handoff —
-// the network-stretched equivalent of the in-process worker handoff.
-// It returns the recipients a shard took and whether every group found
-// a live shard; ok with accepted == 0 means the shards cleanly refused
-// everything (config skew), which the caller must not ack.
-func (s *Server) deliver(env smtp.Envelope, id uint64, tc trace.Context) (accepted int, ok bool) {
+// forward is the server's enqueue sink: it fans one accepted envelope
+// out to the shards owning its recipients (usually one). The whole
+// replay is timed as the handoff — the network-stretched equivalent of
+// the in-process worker handoff — and traced as the "pretrust" span
+// under the mail's smtp span, parenting one "forward" span per shard
+// attempt. A group that found no live shard fails the mail 451; shards
+// that cleanly refused every recipient (config skew) fail it 554.
+func (s *Server) forward(sender string, rcpts []string, data []byte, tc trace.Context) (string, error) {
 	start := time.Now()
-	ok = true
-	for shard, rcpts := range s.groupByShard(env.Rcpts) {
-		n, groupOK := s.forwardGroup(shard, env.Sender, rcpts, env.Data, id, tc)
+	psp := s.cfg.mtrace.NewSpan(tc)
+	accepted, ok := 0, true
+	for shard, group := range s.groupByShard(rcpts) {
+		n, groupOK := s.forwardGroup(shard, sender, group, data, psp)
 		accepted += n
 		if !groupOK {
 			ok = false
 		}
 	}
-	s.handoff.ObserveDuration(time.Since(start))
-	if ok && accepted > 0 {
-		s.mailsForwarded.Inc()
+	end := time.Now()
+	s.handoff.ObserveDuration(end.Sub(start))
+	s.cfg.mtrace.FinishAt(psp, trace.MStagePretrust, start, end, "director")
+	switch {
+	case !ok:
+		s.mailsFailed.Inc()
+		return "", errShardsDown
+	case accepted == 0:
+		s.mailsRefused.Inc()
+		return "", errAllRefused
 	}
-	return accepted, ok
+	s.mailsForwarded.Inc()
+	return "", nil
 }
 
 // groupByShard buckets recipients by owning shard.
@@ -510,7 +299,7 @@ func (s *Server) groupByShard(rcpts []string) map[string][]string {
 // a shard takes the mail. Down shards are skipped inside their
 // cooldown unless every candidate is down — then each is probed anyway
 // rather than failing mail on a stale latch.
-func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte, id uint64, tc trace.Context) (int, bool) {
+func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte, tc trace.Context) (int, bool) {
 	candidates := s.ring.Candidates(rcpts[0], len(s.ring.Nodes()))
 	now := time.Now()
 	// Pass 0 probes the candidates whose cooldown is clear. If every
@@ -557,12 +346,12 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 					// and move on. Keep the tiers' -domain/mailbox
 					// config in lockstep to keep this at zero.
 					s.rcptSkew.Add(int64(len(rcpts) - accepted))
-					s.cfg.events.Warn("director.skew", id,
+					s.cfg.events.Warn("director.skew", 0,
 						eventlog.Str("shard", name),
 						eventlog.Int("refused", int64(len(rcpts)-accepted)),
 					)
 				}
-				s.cfg.events.Debug("director.forward", id,
+				s.cfg.events.Debug("director.forward", 0,
 					eventlog.Str("shard", name),
 					eventlog.Int("rcpts", int64(len(rcpts))),
 				)
@@ -570,7 +359,7 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 			}
 			b.markDown(time.Now(), s.cfg.cooldown)
 			s.shardDown.Inc()
-			s.cfg.events.Warn("director.shard", id,
+			s.cfg.events.Warn("director.shard", 0,
 				eventlog.Str("shard", name),
 				eventlog.Str("err", err.Error()),
 			)

@@ -401,3 +401,68 @@ func TestDirectorPoolReuse(t *testing.T) {
 		t.Fatalf("delivered %d of 5", sinkA.count("alice@example.org"))
 	}
 }
+
+// TestDirectorBounceNeverTakesAWorker: the director is the paper's
+// hybrid server. A pure-550 dialog dies in the pre-trust front end; only
+// the dialog that reaches a valid RCPT is handed to a worker, and both
+// are timed under smtpd_stage_seconds on the director's registry.
+func TestDirectorBounceNeverTakesAWorker(t *testing.T) {
+	addrA, sinkA, _ := startShardServer(t)
+	d, feAddr := startDirector(t,
+		WithBackend("shard-a", addrA),
+		WithValidateRcpt(func(a string) bool { return strings.HasSuffix(a, "@example.org") }),
+	)
+
+	c, err := smtp.Dial(feAddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Helo("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Mail("s@remote.net"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rcpt := range []string{"ghost1@nowhere.net", "ghost2@nowhere.net"} {
+		if r, err := c.Rcpt(rcpt); err != nil || r.Code != 550 {
+			t.Fatalf("RCPT %s = %v, %v; want 550", rcpt, r, err)
+		}
+	}
+	if err := c.Quit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sendMail(t, feAddr, "s@remote.net", []string{"real@example.org"}); got != 1 {
+		t.Fatalf("accepted %d rcpts, want 1", got)
+	}
+	if sinkA.total() != 1 {
+		t.Fatalf("shard holds %d mails, want 1", sinkA.total())
+	}
+
+	stage := func(name string) int64 {
+		m, ok := d.Registry().Find(smtpserver.StageMetric,
+			"arch", smtpserver.Hybrid.String(), "stage", name)
+		if !ok {
+			t.Fatalf("no %s{stage=%q} on the director's registry", smtpserver.StageMetric, name)
+		}
+		return m.Count
+	}
+	// Both dialogs start in the pre-trust front end; only the one that
+	// reached a valid RCPT is handed to a worker. The counters settle
+	// after the client's QUIT, so poll for them.
+	settled := func(st Stats) bool {
+		return st.Connections == 2 && st.Handoffs == 1 && st.PreTrustClosed == 1 &&
+			st.RcptRejected == 2 && st.MailsForwarded == 1 &&
+			stage(smtpserver.StagePreTrust) == 2 && stage(smtpserver.StageDialog) == 1
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	st := d.Stats()
+	for !settled(st) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		st = d.Stats()
+	}
+	if !settled(st) {
+		t.Fatalf("stats = %+v, pretrust stage = %d, worker dialog stage = %d; want 2 conns, "+
+			"1 handoff, 1 pre-trust close, 2 rejected rcpts, 1 forward, 2 pretrust and 1 dialog observations",
+			st, stage(smtpserver.StagePreTrust), stage(smtpserver.StageDialog))
+	}
+}

@@ -155,7 +155,18 @@ func (g *Gossip) Serve(ln net.Listener) {
 			}
 			continue
 		}
+		// Register the exchange under mu, which Close holds while it
+		// closes done: an Add can then never race Close's Wait.
+		g.mu.Lock()
+		select {
+		case <-g.done:
+			g.mu.Unlock()
+			nc.Close()
+			return
+		default:
+		}
 		g.wg.Add(1)
+		g.mu.Unlock()
 		go func() {
 			defer g.wg.Done()
 			g.serveExchange(nc)
@@ -185,8 +196,8 @@ func (g *Gossip) Start() {
 
 // Close stops the loops and the responder listener.
 func (g *Gossip) Close() {
-	g.once.Do(func() { close(g.done) })
 	g.mu.Lock()
+	g.once.Do(func() { close(g.done) })
 	ln := g.ln
 	g.mu.Unlock()
 	if ln != nil {
@@ -206,10 +217,12 @@ func (g *Gossip) serveExchange(nc net.Conn) {
 	}
 	g.apply(req)
 	resp := g.delta(req.Since)
-	json.NewEncoder(nc).Encode(resp) //nolint:errcheck // peer retries next tick
+	// Counted before the reply goes out, so a peer that has read the
+	// reply also sees the count.
 	g.mu.Lock()
 	g.st.Served++
 	g.mu.Unlock()
+	json.NewEncoder(nc).Encode(resp) //nolint:errcheck // peer retries next tick
 }
 
 // Exchange runs one synchronous anti-entropy round with peer.

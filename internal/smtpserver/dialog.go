@@ -30,7 +30,7 @@ const (
 // connection's minted message-trace context (zero when tracing is off
 // or sampled out); a context arriving on the wire as an XTRACE MAIL
 // parameter — a director upstream — takes precedence over it.
-func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
+func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, ip string, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
 	for {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			return outcomeDropped
@@ -51,7 +51,7 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 				// Each 550 is a §4.1 bounce signal; feed it to the
 				// reputation store so repeat offenders are refused at
 				// connect time on their next visit.
-				s.cfg.Policy.RecordRejectedRcpt(remoteIP(nc))
+				s.cfg.Policy.RecordRejectedRcpt(ip)
 			}
 		}
 		switch action {
@@ -92,7 +92,7 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 			}
 			if qerr != nil {
 				s.enqueueFailures.Inc()
-				done = smtp.ReplyInsufficient
+				done = enqueueFailReply(qerr)
 			} else {
 				s.mailsAccepted.Inc()
 			}
@@ -123,6 +123,17 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 	}
 }
 
+// enqueueFailReply is the end-of-data reply to a failed enqueue: the
+// reply the error carries (a forwarding sink's 451 or 554, say) when it
+// wraps an *smtp.UnexpectedReplyError, else 452 — the queue is full.
+func enqueueFailReply(err error) smtp.Reply {
+	var unexpected *smtp.UnexpectedReplyError
+	if errors.As(err, &unexpected) {
+		return unexpected.Reply
+	}
+	return smtp.ReplyInsufficient
+}
+
 // outcomeNote maps a dialog outcome to its span note.
 func outcomeNote(out outcome) string {
 	switch out {
@@ -145,10 +156,10 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 		// handoff wait: master blocked until a worker freed up.
 		s.observeStage(StageHandoffWait, a.id, a.at, "")
 		c := smtp.AcquireConn(nc)
-		ip := remoteIP(nc)
+		ip := a.ip
 		// The vanilla architecture pays a worker for the policy check
 		// itself — the cost contrast the policy-sweep experiment measures.
-		if !s.admitPolicy(nc, c, a.id, true) {
+		if !s.admitPolicy(c, ip, a.id, true) {
 			s.untrack(nc)
 			nc.Close()
 			smtp.ReleaseConn(c)
@@ -158,14 +169,14 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 		sess := smtp.AcquireSession(s.sessionConfig(ip, a.id))
 		tc := s.mtrace.Mint()
 		if err := c.WriteReply(sess.Greeting()); err == nil {
-			out := s.runDialog(nc, c, sess, nil, tc)
+			out := s.runDialog(nc, c, sess, ip, nil, tc)
 			if out == outcomeQuit {
 				s.sessionsServed.Inc()
 			}
 			bounce := !sess.HasValidRcpt() && sess.MailsCompleted() == 0
 			if bounce {
 				s.preTrustClosed.Inc()
-				s.recordBounce(nc, sess)
+				s.recordBounce(ip, sess)
 			}
 			s.observeStage(StageDialog, a.id, dialogStart, outcomeNote(out))
 			s.logConn(a.id, ip, outcomeNote(out), true, bounce)
@@ -185,14 +196,13 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 // never produce one — random-guessing bounces and unfinished sessions —
 // are finished right here, costing no worker. Trusted connections are
 // delegated to the worker pool through the bounded task queue.
-func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
+func (s *Server) hybridFrontEnd(nc net.Conn, ip string, id uint64, sh *shard) {
 	defer s.frontWG.Done()
 	c := smtp.AcquireConn(nc)
-	ip := remoteIP(nc)
 	// Policy runs in the master's event loop: a rejected connection is
 	// finished here, before any worker is committed — the paper's
 	// fork-after-trust thesis extended from bounces to policy verdicts.
-	if !s.admitPolicy(nc, c, id, false) {
+	if !s.admitPolicy(c, ip, id, false) {
 		s.untrack(nc)
 		nc.Close()
 		smtp.ReleaseConn(c)
@@ -210,7 +220,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 		smtp.ReleaseSession(sess)
 		return
 	}
-	out := s.runDialog(nc, c, sess, (*smtp.Session).HasValidRcpt, tc)
+	out := s.runDialog(nc, c, sess, ip, (*smtp.Session).HasValidRcpt, tc)
 	s.observeStage(StagePreTrust, id, preTrustStart, outcomeNote(out))
 	switch out {
 	case outcomeTrusted:
@@ -221,11 +231,11 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 		// them back to the pools when the connection finishes. The minted
 		// trace context travels with the task so post-trust mails keep
 		// the connection's trace.
-		sh.tasks <- &task{nc: nc, c: c, sess: sess, id: id, at: time.Now(), tc: tc}
+		sh.tasks <- &task{nc: nc, c: c, sess: sess, ip: ip, id: id, at: time.Now(), tc: tc}
 	case outcomeQuit:
 		s.sessionsServed.Inc()
 		s.preTrustClosed.Inc()
-		s.recordBounce(nc, sess)
+		s.recordBounce(ip, sess)
 		// Finished in the front end with no valid RCPT: a bounce that
 		// never cost a worker — the connection fork-after-trust saves.
 		s.logConn(id, ip, outcomeNote(out), false, true)
@@ -235,7 +245,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 		smtp.ReleaseSession(sess)
 	default:
 		s.preTrustClosed.Inc()
-		s.recordBounce(nc, sess)
+		s.recordBounce(ip, sess)
 		s.logConn(id, ip, outcomeNote(out), false, true)
 		s.untrack(nc)
 		nc.Close()
@@ -246,9 +256,9 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 
 // recordBounce feeds a finished pre-trust connection that drew at least
 // one 550 to the reputation store as a completed bounce.
-func (s *Server) recordBounce(nc net.Conn, sess *smtp.Session) {
+func (s *Server) recordBounce(ip string, sess *smtp.Session) {
 	if s.cfg.Policy != nil && sess.RejectedRcpts() > 0 {
-		s.cfg.Policy.RecordBounce(remoteIP(nc))
+		s.cfg.Policy.RecordBounce(ip)
 	}
 }
 
@@ -261,15 +271,14 @@ func (s *Server) hybridWorker(tasks <-chan *task) {
 		// Queue wait: from the front end's enqueue attempt to this
 		// pickup — the §5.3 socket-buffer throttle made visible.
 		s.observeStage(StageHandoffWait, t.id, t.at, "")
-		ip := remoteIP(t.nc)
 		dialogStart := time.Now()
-		out := s.runDialog(t.nc, t.c, t.sess, nil, t.tc)
+		out := s.runDialog(t.nc, t.c, t.sess, t.ip, nil, t.tc)
 		if out == outcomeQuit {
 			s.sessionsServed.Inc()
 		}
 		s.observeStage(StageDialog, t.id, dialogStart, outcomeNote(out))
 		// Trusted by definition (it was handed off), so never a bounce.
-		s.logConn(t.id, ip, outcomeNote(out), true, false)
+		s.logConn(t.id, t.ip, outcomeNote(out), true, false)
 		s.untrack(t.nc)
 		t.nc.Close()
 		smtp.ReleaseConn(t.c)

@@ -11,7 +11,10 @@ import (
 
 // Enqueue hands an accepted mail to the queue manager and returns its
 // queue id. It is the one required collaborator of a Server — everything
-// else is optional configuration.
+// else is optional configuration. An error answers the client's DATA
+// with 452, or with the reply it carries when it wraps an
+// *smtp.UnexpectedReplyError — how a forwarding sink passes on its
+// next hop's 451 or 554.
 type Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 
 // EnqueueTraced is Enqueue carrying the mail's message trace context,
@@ -133,8 +136,9 @@ func WithMessageTracer(rec *trace.MessageRecorder) Option {
 }
 
 // WithEnqueueTraced installs the trace-aware enqueue hook, preferred
-// over the plain Enqueue when both are set, so the queue receives each
-// mail's trace context alongside its envelope.
+// over the plain Enqueue when both are set (New then accepts a nil
+// Enqueue), so the queue receives each mail's trace context alongside
+// its envelope. Its errors are answered as Enqueue's are.
 func WithEnqueueTraced(f EnqueueTraced) Option {
 	return func(s *settings) { s.enqueueTraced = f }
 }

@@ -124,7 +124,8 @@ type Config struct {
 	// rejects.
 	Policy *policy.ServerPolicy
 	// Enqueue hands an accepted mail to the queue manager and returns
-	// its queue id. Required.
+	// its queue id. Required unless WithEnqueueTraced installs the
+	// trace-aware hook.
 	Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 	// MaxRcpts and MaxMessageBytes bound transactions (see smtp.Config).
 	MaxRcpts        int
@@ -151,8 +152,8 @@ type Stats struct {
 	MailsAccepted   int64 // DATA transactions queued
 	RcptRejected    int64 // 550 replies (bounce recipients)
 	SessionsServed  int64 // connections fully completed
-	EnqueueFailures int64 // queue-full 452s
-	PolicyRejected  int64 // connections 554-rejected by the policy engine
+	EnqueueFailures int64 // failed enqueues: 452s, or the reply the error carried
+	PolicyRejected  int64 // 554s from the policy engine: at connect, MAIL or RCPT
 	PolicyTempfail  int64 // connections 421-tempfailed by the policy engine
 	Greylisted      int64 // MAIL/RCPT attempts 450-tempfailed by policy
 }
@@ -210,6 +211,7 @@ type task struct {
 	nc   net.Conn
 	c    *smtp.Conn
 	sess *smtp.Session
+	ip   string // the peer IP, resolved once at accept
 	id   uint64
 	at   time.Time     // when the front end enqueued the task
 	tc   trace.Context // the connection's minted message-trace context
@@ -219,6 +221,7 @@ type task struct {
 // vanilla worker.
 type accepted struct {
 	nc net.Conn
+	ip string // the peer IP, resolved once at accept
 	id uint64
 	at time.Time // when the accept loop accepted the connection
 }
@@ -252,7 +255,7 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 // newServer validates, defaults, and wires the instrumentation.
 func newServer(st settings) (*Server, error) {
 	cfg := st.Config
-	if cfg.Enqueue == nil {
+	if cfg.Enqueue == nil && st.enqueueTraced == nil {
 		return nil, errors.New("smtpserver: Enqueue is required")
 	}
 	if cfg.Arch != Vanilla && cfg.Arch != Hybrid {
@@ -501,9 +504,12 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			nc.Close()
 			continue
 		}
-		if s.cfg.CheckClient != nil && s.cfg.CheckClient(remoteIP(nc)) {
+		// The peer IP is resolved once here and carried with the
+		// connection: every later hook (policy, bounce feedback, events)
+		// reuses it.
+		ip := remoteIP(nc)
+		if s.cfg.CheckClient != nil && s.cfg.CheckClient(ip) {
 			s.blacklisted.Inc()
-			ip := remoteIP(nc)
 			c := smtp.AcquireConn(nc)
 			c.WriteReply(smtp.ReplyBlacklisted) //nolint:errcheck // closing anyway
 			smtp.ReleaseConn(c)
@@ -520,10 +526,10 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			// handoff_wait histogram (observed by the worker); accept's
 			// own share ends at the send.
 			s.observeStage(StageAccept, id, acceptedAt, "")
-			sh.conns <- accepted{nc: nc, id: id, at: acceptedAt}
+			sh.conns <- accepted{nc: nc, ip: ip, id: id, at: acceptedAt}
 		case Hybrid:
 			s.frontWG.Add(1)
-			go s.hybridFrontEnd(nc, id, sh)
+			go s.hybridFrontEnd(nc, ip, id, sh)
 			s.observeStage(StageAccept, id, acceptedAt, "")
 		}
 	}
@@ -655,7 +661,7 @@ func (s *Server) policyReply(d policy.Decision) *smtp.Reply {
 // end, never from the accept loop, so a slow DNSBL scan stalls only the
 // connection it concerns. The verdict is timed as the policy stage and
 // noted on the connection's span (allow/reject/tempfail).
-func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, worker bool) bool {
+func (s *Server) admitPolicy(c *smtp.Conn, ip string, id uint64, worker bool) bool {
 	if s.cfg.Policy == nil {
 		return true
 	}
@@ -664,7 +670,6 @@ func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, worker bool) 
 	// longer than a silent client could.
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.IdleTimeout)
 	defer cancel()
-	ip := remoteIP(nc)
 	start := time.Now()
 	d := s.cfg.Policy.Connect(ctx, ip)
 	s.logPolicy(id, ip, "connect", d, time.Since(start))

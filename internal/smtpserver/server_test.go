@@ -1,6 +1,7 @@
 package smtpserver
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -291,22 +292,35 @@ func TestBlacklistedClientRejected(t *testing.T) {
 	})
 }
 
+// TestEnqueueFailureReports452: a plain enqueue error answers DATA with
+// 452; an error carrying a reply (a forwarding sink's 451 or 554)
+// reaches the client verbatim.
 func TestEnqueueFailureReports452(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
 		env := startServer(t, arch)
-		env.setEnqueue(func(string, []string, []byte) (string, error) {
-			return "", fmt.Errorf("queue full")
-		})
-		c := dial(t, env)
-		c.Helo("h")
-		c.Mail("s@x.test")
-		c.Rcpt("a@valid.test")
-		err := c.Data([]byte("m"))
-		if err == nil || !strings.Contains(err.Error(), "452") {
-			t.Fatalf("data err = %v, want 452", err)
+		for i, tc := range []struct {
+			err  error
+			want smtp.Reply
+		}{
+			{fmt.Errorf("queue full"), smtp.ReplyInsufficient},
+			{&smtp.UnexpectedReplyError{Op: "forward", Reply: smtp.Reply{Code: 451, Text: "shards down"}},
+				smtp.Reply{Code: 451, Text: "shards down"}},
+			{fmt.Errorf("wrapped: %w", &smtp.UnexpectedReplyError{Op: "forward", Reply: smtp.Reply{Code: 554, Text: "all refused"}}),
+				smtp.Reply{Code: 554, Text: "all refused"}},
+		} {
+			env.setEnqueue(func(string, []string, []byte) (string, error) { return "", tc.err })
+			c := dial(t, env)
+			c.Helo("h")
+			c.Mail("s@x.test")
+			c.Rcpt("a@valid.test")
+			err := c.Data([]byte("m"))
+			var got *smtp.UnexpectedReplyError
+			if !errors.As(err, &got) || got.Reply != tc.want {
+				t.Fatalf("enqueue err %v: data err = %v, want reply %v", tc.err, err, tc.want)
+			}
+			c.Quit()
+			waitStats(t, env.srv, func(s Stats) bool { return s.EnqueueFailures == int64(i+1) })
 		}
-		c.Quit()
-		waitStats(t, env.srv, func(s Stats) bool { return s.EnqueueFailures == 1 })
 	})
 }
 

@@ -29,7 +29,7 @@ import (
 // Canonical message-span stage names, in pipeline order. mailtop and
 // the cluster aggregator key per-stage latency tables on these.
 const (
-	MStagePretrust = "pretrust" // director: connection accept → envelope complete
+	MStagePretrust = "pretrust" // director: envelope complete → last shard answer
 	MStageForward  = "forward"  // director: one replay attempt to a shard
 	MStageSMTP     = "smtp"     // smtpserver: DATA receive → enqueue done
 	MStageQueue    = "queue"    // queue: enqueue → worker pickup
